@@ -59,7 +59,7 @@ _CLICK_SCHEMA = Schema(
 
 def _sample_impression(rng: np.random.Generator) -> tuple:
     ad = int(rng.integers(_NUM_ADS))
-    return (ad, ad % _NUM_CAMPAIGNS, float(rng.uniform(0.01, 2.0)))
+    return (ad, ad % _NUM_CAMPAIGNS, 0.01 + (2.0 - 0.01) * rng.random())
 
 
 def _sample_click(rng: np.random.Generator) -> tuple:
@@ -68,7 +68,7 @@ def _sample_click(rng: np.random.Generator) -> tuple:
         ad = int(rng.integers(_NUM_ADS // 10))
     else:
         ad = int(rng.integers(_NUM_ADS))
-    return (ad, float(rng.uniform(0.1, 5.0)))
+    return (ad, 0.1 + (5.0 - 0.1) * rng.random())
 
 
 class CtrLogic(OperatorLogic):

@@ -62,13 +62,15 @@ def _base_price(symbol: int) -> float:
 
 def _sample_trade(rng: np.random.Generator) -> tuple:
     symbol = int(rng.integers(_NUM_SYMBOLS))
-    price = _base_price(symbol) * float(rng.uniform(0.97, 1.03))
+    # lo + (hi - lo) * random() is rng.uniform(lo, hi) bit for bit; keep
+    # the difference unfolded, since 1.03 - 0.97 is not the double 0.06.
+    price = _base_price(symbol) * (0.97 + (1.03 - 0.97) * rng.random())
     return (symbol, price, float(rng.integers(100, 5_000)))
 
 
 def _sample_quote(rng: np.random.Generator) -> tuple:
     symbol = int(rng.integers(_NUM_SYMBOLS))
-    ask = _base_price(symbol) * float(rng.uniform(0.94, 1.04))
+    ask = _base_price(symbol) * (0.94 + (1.04 - 0.94) * rng.random())
     return (symbol, ask, float(rng.integers(100, 2_000)))
 
 

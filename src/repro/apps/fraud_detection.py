@@ -56,7 +56,7 @@ def _sample_transaction(rng: np.random.Generator) -> tuple:
         state = int(rng.integers(_NUM_STATES))
     else:
         state = int((account + rng.integers(0, 2)) % _NUM_STATES)
-    return (account, state, float(rng.uniform(1.0, 2_000.0)))
+    return (account, state, 1.0 + (2_000.0 - 1.0) * rng.random())
 
 
 def _transition_matrix() -> np.ndarray:

@@ -55,7 +55,7 @@ def _sample_report(rng: np.random.Generator) -> tuple:
     # A band of segments is chronically congested.
     congested = 40 <= segment < 50
     mean_speed = 12.0 if congested else 28.0
-    speed = float(max(rng.normal(mean_speed, 5.0), 0.0))
+    speed = max(mean_speed + 5.0 * rng.standard_normal(), 0.0)
     return (
         xway * _NUM_SEGMENTS + segment,
         int(rng.integers(100_000)),

@@ -52,10 +52,11 @@ def _sample_metrics(rng: np.random.Generator) -> tuple:
     machine = int(rng.integers(_NUM_MACHINES))
     # A few machines run hot; occasionally any machine spikes.
     base_cpu = 0.7 if machine % 17 == 0 else 0.35
-    cpu = float(np.clip(rng.normal(base_cpu, 0.1), 0.0, 1.0))
+    cpu = min(max(base_cpu + 0.1 * rng.standard_normal(), 0.0), 1.0)
     if rng.random() < 0.01:
-        cpu = float(np.clip(cpu + rng.uniform(0.3, 0.6), 0.0, 1.0))
-    memory = float(np.clip(rng.normal(0.5, 0.15), 0.0, 1.0))
+        spike = 0.3 + (0.6 - 0.3) * rng.random()
+        cpu = min(max(cpu + spike, 0.0), 1.0)
+    memory = min(max(0.5 + 0.15 * rng.standard_normal(), 0.0), 1.0)
     return (machine, cpu, memory)
 
 

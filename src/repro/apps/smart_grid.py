@@ -59,7 +59,7 @@ def _sample_reading(rng: np.random.Generator) -> tuple:
     base = 40.0 + 10.0 * (house % 7)
     if (house * _PLUGS_PER_HOUSE + plug) % 13 == 0:
         base *= 2.5
-    load = float(max(rng.normal(base, base * 0.2), 0.0))
+    load = max(base + base * 0.2 * rng.standard_normal(), 0.0)
     return (house * _PLUGS_PER_HOUSE + plug, house, load)
 
 

@@ -45,9 +45,10 @@ _SCHEMA = Schema(
 
 def _sample_reading(rng: np.random.Generator) -> tuple:
     sensor = int(rng.integers(_NUM_SENSORS))
-    value = float(max(rng.normal(20.0 + sensor % 10, 3.0), 0.0))
+    mean = 20.0 + sensor % 10
+    value = max(mean + 3.0 * rng.standard_normal(), 0.0)
     if rng.random() < 0.02:
-        value *= float(rng.uniform(2.0, 4.0))  # genuine spikes
+        value *= 2.0 + (4.0 - 2.0) * rng.random()  # genuine spikes
     return (sensor, value)
 
 

@@ -51,11 +51,16 @@ def _sample_trip(rng: np.random.Generator) -> tuple:
     # Trips cluster around a few hotspots (midtown-style density).
     def coord() -> float:
         if rng.random() < 0.6:
-            return float(np.clip(rng.normal(0.5, 0.08), 0.0, 1.0))
+            return min(max(0.5 + 0.08 * rng.standard_normal(), 0.0), 1.0)
         return float(rng.random())
 
-    return (coord(), coord(), coord(), coord(),
-            float(rng.uniform(3.0, 60.0)))
+    return (
+        coord(),
+        coord(),
+        coord(),
+        coord(),
+        3.0 + (60.0 - 3.0) * rng.random(),
+    )
 
 
 def _to_route(values: tuple) -> tuple:

@@ -53,8 +53,8 @@ def _sample_lineitem(rng: np.random.Generator) -> tuple:
         int(rng.integers(_NUM_GROUPS)),
         int(rng.integers(120)),
         float(rng.integers(1, 50)),
-        float(rng.uniform(900.0, 105_000.0)),
-        float(rng.uniform(0.0, 0.1)),
+        900.0 + (105_000.0 - 900.0) * rng.random(),
+        0.1 * rng.random(),
     )
 
 

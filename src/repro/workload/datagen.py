@@ -72,11 +72,11 @@ class StreamSpec:
 
     def generator(self):
         """Compile to a ``(rng, now) -> StreamTuple`` callable."""
-        distributions = [fs.distribution for fs in self.fields]
+        samplers = [fs.distribution.sample for fs in self.fields]
         size = float(self.schema().tuple_size_bytes())
 
         def generate(rng: np.random.Generator, now: float) -> StreamTuple:
-            values = tuple(dist.sample(rng) for dist in distributions)
+            values = tuple([sample(rng) for sample in samplers])
             return StreamTuple(values=values, event_time=now, size_bytes=size)
 
         return generate

@@ -6,10 +6,28 @@ skew with distributions like Zipf. Each distribution here can both sample
 values and answer the probability questions the selectivity estimator needs
 (CDF, point mass, quantile), which is how generated filters keep their
 selectivity inside a valid band (Section 3.1).
+
+Sampling contract: every ``sample`` consumes the generator exactly as its
+numpy reference call does and returns the same value, so seeded streams
+and every golden built on them stay bit-identical:
+
+* ``ZipfInt`` / ``StringVocabulary``: ``rng.choice(n, p=pmf)``
+* ``UniformDouble``: ``rng.uniform(lo, hi)``
+* ``GaussianDouble``: ``rng.normal(mean, std)``
+* ``UniformInt``: ``rng.integers(lo, hi + 1)`` (called directly)
+
+The reference calls re-validate their arguments on every draw, which
+dominated source generation. The samplers therefore precompute what the
+reference recomputes — ``choice``'s normalised cumulative table, the
+uniform span — and repeat only its arithmetic on one scalar draw. They
+are deliberately not vectorised: numpy's array draws consume the bit
+stream differently from a sequence of scalar draws.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 
 import numpy as np
@@ -52,6 +70,22 @@ class ValueDistribution:
     def describe(self) -> str:
         """Short label for logs and stored workload records."""
         raise NotImplementedError
+
+
+@functools.lru_cache(maxsize=256)
+def _choice_table(pmf: bytes) -> tuple[float, ...]:
+    """The cumulative table ``Generator.choice(n, p=pmf)`` draws against.
+
+    ``choice`` normalises ``pmf.cumsum()`` by its last entry and returns
+    ``searchsorted(table, rng.random(), side="right")``; ``bisect_right``
+    on this tuple repeats that lookup on the same single draw. Keyed by
+    the float64 pmf's bytes, so distributions with the same weights (a
+    generated workload holds hundreds of default vocabularies) share one
+    table.
+    """
+    table = np.frombuffer(pmf).cumsum()
+    table /= table[-1]
+    return tuple(table.tolist())
 
 
 def _check_q(q: float) -> None:
@@ -107,9 +141,10 @@ class UniformDouble(ValueDistribution):
             raise ConfigurationError(f"need lo < hi, got [{lo}, {hi})")
         self.lo = float(lo)
         self.hi = float(hi)
+        self._span = self.hi - self.lo
 
     def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.lo, self.hi))
+        return self.lo + self._span * rng.random()
 
     def cdf(self, value) -> float:
         if value <= self.lo:
@@ -141,7 +176,7 @@ class GaussianDouble(ValueDistribution):
         self.std = float(std)
 
     def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.normal(self.mean, self.std))
+        return self.mean + self.std * rng.standard_normal()
 
     def cdf(self, value) -> float:
         z = (value - self.mean) / (self.std * math.sqrt(2.0))
@@ -183,9 +218,10 @@ class ZipfInt(ValueDistribution):
         weights = np.arange(1, self.n + 1, dtype=float) ** (-self.s)
         self._pmf = weights / weights.sum()
         self._cdf = np.cumsum(self._pmf)
+        self._draw_table = _choice_table(self._pmf.tobytes())
 
     def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.choice(self.n, p=self._pmf)) + 1
+        return bisect.bisect_right(self._draw_table, rng.random()) + 1
 
     def cdf(self, value) -> float:
         if value < 1:
@@ -245,14 +281,13 @@ class StringVocabulary(ValueDistribution):
         order = sorted(range(len(words)), key=lambda i: words[i])
         self._sorted_words = [words[i] for i in order]
         self._sorted_cdf = np.cumsum([probabilities[i] for i in order])
+        self._draw_table = _choice_table(probabilities.tobytes())
 
     def sample(self, rng: np.random.Generator) -> str:
-        return self.words[int(rng.choice(len(self.words), p=self._pmf))]
+        return self.words[bisect.bisect_right(self._draw_table, rng.random())]
 
     def cdf(self, value) -> float:
         """Lexicographic CDF: P(word <= value)."""
-        import bisect
-
         idx = bisect.bisect_right(self._sorted_words, value)
         if idx == 0:
             return 0.0
