@@ -173,3 +173,128 @@ def test_checkpointing_off_keeps_golden_values():
     assert json.dumps(runs_a, sort_keys=True) == json.dumps(
         runs_b, sort_keys=True
     )
+
+
+# ------------------------------------------------------------------------
+# Goldens for the checkpointing and sharded transports. Each entry is
+# (events_processed, results, mean latency s), captured at the golden
+# config above before the scalar, checkpointing and sharded executors
+# shared one route/enqueue/serve path. Run-twice identity and
+# K-invariance cannot catch a drift that hits every run alike; these
+# values can.
+
+#: WC at the golden config with ``checkpoint_ms=250``, per repeat.
+GOLDEN_CHECKPOINTED_WC = [
+    (21677, 26, 0.3073962555162742),
+    (21687, 26, 0.30299855748393417),
+]
+
+#: ``exp5.ft_workload_plan()`` (seed 7, 50 ms checkpoints, node failure
+#: at 0.3 s for 0.1 s), per delivery guarantee: the (events, results,
+#: mean latency) triple, then extras["ft"] (recoveries, replayed_events,
+#: duplicates_dropped, duplicate_results).
+GOLDEN_FT_RECOVERY = {
+    "exactly_once": ((3011, 34, 0.466723517358171), (1, 300, 13, 0)),
+    "at_least_once": ((3024, 47, 0.49344951695997435), (1, 300, 0, 13)),
+}
+
+#: Sharded runs (the shard universe: per-subtask RNG streams and
+#: producer-local tie-breaks), per app, per repeat. Identical for
+#: ``shards=1`` and in-process ``shards=2`` by construction.
+GOLDEN_SHARDED = {
+    "WC": [
+        (21668, 26, 0.33001738849079615),
+        (21678, 26, 0.30001257800145636),
+    ],
+    "AD": [
+        (13325, 42, 0.32811454425339914),
+        (13582, 58, 0.3469466268355101),
+    ],
+}
+
+
+def _triple(metrics) -> tuple:
+    return (
+        metrics.extras["events_processed"],
+        metrics.results,
+        metrics.latency.mean,
+    )
+
+
+def _assert_triples(got, want, label) -> None:
+    for i, ((events, results, mean), expected) in enumerate(zip(got, want)):
+        assert events == expected[0], (label, i)
+        assert results == expected[1], (label, i)
+        assert mean == pytest.approx(expected[2], rel=1e-9), (label, i)
+
+
+def test_checkpointed_golden_values_hold():
+    cluster = homogeneous_cluster("m510", 4)
+    runner = BenchmarkRunner(
+        cluster, RunnerConfig(**GOLDEN_CONFIG, checkpoint_ms=250.0)
+    )
+    query = runner.prepare_app("WC", GOLDEN_PARALLELISM)
+    runs = [_triple(run) for run in runner.run_plan(query.plan)]
+    _assert_triples(runs, GOLDEN_CHECKPOINTED_WC, "WC/ckpt")
+
+
+@pytest.mark.parametrize("delivery", sorted(GOLDEN_FT_RECOVERY))
+def test_recovery_golden_values_hold(delivery):
+    from repro.common.rng import RngFactory
+    from repro.core.experiments.exp5 import ft_workload_plan
+    from repro.sps.engine import SimulationConfig, StreamEngine
+
+    config = SimulationConfig(
+        max_tuples_per_source=300,
+        max_sim_time=3.0,
+        warmup_fraction=0.0,
+        keep_sink_values=True,
+        scenario="failure:at=0.3,duration=0.1",
+        checkpoint_interval=0.05,
+        delivery=delivery,
+    )
+    engine = StreamEngine(
+        ft_workload_plan(),
+        homogeneous_cluster(num_nodes=4),
+        config=config,
+        rng_factory=RngFactory(7),
+    )
+    metrics = engine.run()
+    triple, ft_counts = GOLDEN_FT_RECOVERY[delivery]
+    _assert_triples([_triple(metrics)], [triple], delivery)
+    ft = metrics.extras["ft"]
+    assert (
+        ft["recoveries"],
+        ft["replayed_events"],
+        ft["duplicates_dropped"],
+        ft["duplicate_results"],
+    ) == ft_counts
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("abbrev", sorted(GOLDEN_SHARDED))
+def test_sharded_golden_values_hold(abbrev, shards):
+    """Mirrors ``BenchmarkRunner.run_plan`` (same plan, config and
+    per-repeat seeds) with the shards driven in-process."""
+    from repro.common.rng import RngFactory
+    from repro.sps.engine import SimulationConfig, StreamEngine
+
+    cluster = homogeneous_cluster("m510", 4)
+    runner = BenchmarkRunner(cluster, RunnerConfig(**GOLDEN_CONFIG))
+    query = runner.prepare_app(abbrev, GOLDEN_PARALLELISM)
+    config = SimulationConfig(
+        max_tuples_per_source=GOLDEN_CONFIG["max_tuples_per_source"],
+        max_sim_time=GOLDEN_CONFIG["max_sim_time"],
+        shards=shards,
+    )
+    runs = []
+    for repeat in range(GOLDEN_CONFIG["repeats"]):
+        engine = StreamEngine(
+            query.plan,
+            cluster,
+            config=config,
+            rng_factory=RngFactory(GOLDEN_CONFIG["seed"] * 1000 + repeat),
+        )
+        engine.shard_force_inline = True
+        runs.append(_triple(engine.run()))
+    _assert_triples(runs, GOLDEN_SHARDED[abbrev], f"{abbrev}/s{shards}")
