@@ -17,19 +17,23 @@ controller and produce bit-identical results:
   runner's DET609 cross-check compares a forked run against.
 
 **The shard universe.** ``shards=K`` is a *separate deterministic
-universe* from ``shards=None``: every subtask draws arrival gaps and
-service noise from its own named streams
-(``engine/<op>/<i>/arrivals|noise``) instead of the legacy engine's one
-shared arrival stream, equal-time events order by ``(origin gid, origin
-seq)`` instead of global push order, and end-of-stream flushes happen at
-epoch boundaries. Within the universe results are invariant in K — the
-property suite pins ``shards∈{1,2,4}`` plus both transports identical —
-but they intentionally differ from the ``shards=None`` event loop, which
-stays byte-identical to all committed goldens.
+universe* from ``shards=None``. Both run the engine's one transport
+(arrival scheduling, ``_route``, ``_enqueue``, ``_begin_service_now``);
+they differ only in what it is bound to. Every subtask draws arrival
+gaps and service noise from its own named streams
+(``engine/<op>/<i>/arrivals|noise``) bound on its runtime, instead of
+the legacy engine's one shared arrival stream, and the ``_push`` hook
+orders equal-time events by ``(origin gid, origin seq)`` instead of
+global push order. Beyond the transport, end-of-stream flushes happen
+at epoch boundaries. Within the universe results are invariant in K —
+the property suite pins ``shards∈{1,2,4}`` plus both transports
+identical — but they intentionally differ from the ``shards=None``
+event loop, which stays byte-identical to all committed goldens.
 """
 
 from __future__ import annotations
 
+import copy
 import multiprocessing
 import os
 import pickle
@@ -42,18 +46,7 @@ from repro.kernel.core import BudgetExceededError, Kernel
 from repro.kernel.partition import partition_nodes, shard_of_gids
 from repro.kernel.sharded import ShardController
 from repro.kernel.wire import decode_batch, encode_batch
-from repro.sps.engine import (
-    _ARR_BURSTY,
-    _ARR_CONSTANT,
-    _ARR_POISSON,
-    _ARRIVAL,
-    _BEGIN,
-    _DELIVER,
-    _DONE,
-    _STALL,
-    _TIMER,
-    _WORK_MASK,
-)
+from repro.sps.engine import _DELIVER, _WORK_MASK
 from repro.sps.operators.sink import SinkLogic
 
 __all__ = ["ShardExecutor", "run_sharded"]
@@ -62,12 +55,17 @@ __all__ = ["ShardExecutor", "run_sharded"]
 class ShardExecutor:
     """Drives the subset of an engine's subtasks owned by one shard.
 
-    Mirrors the serial engine's hot path (arrival → enqueue → serve →
-    done → route) over its own kernel, with three shard-mode changes:
-    per-runtime RNG streams, ``(origin gid, origin seq)`` tie-breaks via
-    :meth:`Kernel.push_tb`, and an outbox for deliveries whose consumer
-    lives on another shard. It never touches a runtime it doesn't own,
-    so inline executors can share one engine object safely.
+    The executor has no transport of its own: it runs the engine's
+    arrival/route/queue/serve path over a *shard view* — a shallow copy
+    of the engine that shares its runtimes, plan and config but owns
+    this shard's kernel and binds the shard universe's hooks.
+    ``_push`` tie-breaks every event by ``(gid, oseq)``; ``_send``
+    pushes a delivery locally or appends it to the outbox when its
+    consumer lives on another shard; each owned runtime draws from its
+    own RNG streams. What remains here are the controller verbs
+    (``start``, ``inject``, ``run_epoch``, ``flush_round``, ``stats``).
+    The executor never touches a runtime it doesn't own, so inline
+    executors can share one engine object safely.
     """
 
     def __init__(self, engine, shard_id, owned, shard_of_gid) -> None:
@@ -83,9 +81,7 @@ class ShardExecutor:
         #: depends only on producers, never on the shard count
         self.oseq = [0] * len(self.runtimes)
         self.outbox: list = []
-        self.last_source_time = 0.0
         self.flush_time: float | None = None
-        self.max_sim_time = engine.config.max_sim_time
         # Shard-universe RNG streams. Derived purely from the factory
         # seed and the subtask's stable name, so every transport and
         # every K builds byte-identical generators.
@@ -96,293 +92,47 @@ class ShardExecutor:
             runtime = self.runtimes[gid]
             name = (runtime.op_id, str(runtime.index))
             if runtime.is_source:
-                self.arr_rngs[gid] = rngs.fresh("engine", *name, "arrivals")
+                rng = rngs.fresh("engine", *name, "arrivals")
+                self.arr_rngs[gid] = rng
+                runtime.exponential = rng.exponential
             if runtime.noise_sigma > 0:
-                self.noise_rngs[gid] = rngs.fresh("engine", *name, "noise")
-        self.handlers = self._make_handlers()
+                rng = rngs.fresh("engine", *name, "noise")
+                self.noise_rngs[gid] = rng
+                runtime.lognormal = rng.lognormal
+        # The engine has already reset its per-run state (run() calls
+        # _begin_run first); the view inherits it and rebinds only what
+        # is per shard. Sharded runs take no observer.
+        view = copy.copy(engine)
+        view._k = self.kernel
+        view._obs = None
+        view._push = self._push
+        view._send = self._send
+        self.view = view
+        self.handlers = view._make_handlers()
 
-    # ------------------------------------------------------------ scheduling
+    # ------------------------------------------------------------ hooks
 
-    def _push(self, time, kind, gid, payload, port, origin) -> None:
+    def _push(self, time, kind, gid, payload, port) -> None:
+        # Every kind but DELIVER (which goes through _send) originates
+        # at the subtask it targets.
+        seq = self.oseq[gid]
+        self.oseq[gid] = seq + 1
+        self.kernel.push_tb(time, (gid, seq), kind, gid, payload, port)
+
+    def _send(self, src, at, gid, tup, port) -> None:
+        origin = src.gid
         seq = self.oseq[origin]
         self.oseq[origin] = seq + 1
-        self.kernel.push_tb(time, (origin, seq), kind, gid, payload, port)
-
-    def _schedule_next_arrival(self, runtime, now: float) -> None:
-        if runtime.emitted >= runtime.arrival_budget:
-            return
-        kind = runtime.arrival_kind
-        rng = self.arr_rngs[runtime.gid]
-        if kind == _ARR_POISSON:
-            gap = rng.exponential(runtime.mean_gap)
-        elif kind == _ARR_CONSTANT:
-            gap = runtime.mean_gap
-        elif kind == _ARR_BURSTY:
-            phase = (now * 10.0) % 1.0
-            gap = rng.exponential(
-                runtime.burst_fast_gap
-                if phase < 0.25
-                else runtime.burst_slow_gap
-            )
+        if self.shard_of_gid[gid] == self.shard_id:
+            self.kernel.push_tb(at, (origin, seq), _DELIVER, gid, tup, port)
         else:
-            profile = runtime.rate_profile
-            if profile is None:
-                raise ConfigurationError(
-                    f"{runtime.op_id}: arrival 'profile' needs a "
-                    "'rate_profile' callable in the source metadata"
-                )
-            instant = max(
-                float(profile(now)) / runtime.profile_divisor, 1e-9
-            )
-            gap = rng.exponential(1.0 / instant)
-        at = now + gap
-        if at > self.max_sim_time:
-            return
-        self._push(at, _ARRIVAL, runtime.gid, None, 0, runtime.gid)
-
-    # -------------------------------------------------------------- handlers
-
-    def _make_handlers(self) -> list:
-        runtimes = self.runtimes
-
-        def arrival(gid: int, payload, port: int) -> None:
-            runtime = runtimes[gid]
-            now = self.kernel.now
-            tup = runtime.logic.generate(now)
-            runtime.emitted += 1
-            if now > self.last_source_time:
-                self.last_source_time = now
-            self._enqueue(runtime, tup, 0)
-            self._schedule_next_arrival(runtime, now)
-
-        def deliver(gid: int, payload, port: int) -> None:
-            self._enqueue(runtimes[gid], payload, port)
-
-        def begin(gid: int, payload, port: int) -> None:
-            runtime = runtimes[gid]
-            runtime.busy = False
-            if len(runtime.queue) > runtime.queue_head:
-                self._begin_service_now(runtime)
-
-        def timer(gid: int, payload, port: int) -> None:
-            runtime = runtimes[gid]
-            now = self.kernel.now
-            logic = runtime.logic
-            outputs = logic.on_time(now)
-            if outputs:
-                runtime.busy_time += self._route(runtime, outputs)
-            interval = logic.timer_interval
-            next_time = now + interval
-            if next_time <= self.max_sim_time + 10.0 * interval:
-                self._push(next_time, _TIMER, gid, None, 0, gid)
-
-        def stall(gid: int, duration, port: int) -> None:
-            runtime = runtimes[gid]
-            now = self.kernel.now
-            if runtime.busy:
-                self._push(now + 1e-4, _STALL, gid, duration, 0, gid)
-                return
-            runtime.busy = True
-            self._push(now + duration, _BEGIN, gid, None, 0, gid)
-
-        def done(gid: int, tup, port: int) -> None:
-            runtime = runtimes[gid]
-            now = self.kernel.now
-            if runtime.is_source:
-                outputs = [tup]
-            else:
-                outputs = runtime.logic.process(tup, now, port)
-            overhead = self._route(runtime, outputs)
-            runtime.busy_time += overhead
-            if overhead > 0:
-                self._push(now + overhead, _BEGIN, gid, None, 0, gid)
-            else:
-                runtime.busy = False
-                if len(runtime.queue) > runtime.queue_head:
-                    self._begin_service_now(runtime)
-
-        handlers: list = [None] * len(_WORK_MASK)
-        handlers[_ARRIVAL] = arrival
-        handlers[_DELIVER] = deliver
-        handlers[_BEGIN] = begin
-        handlers[_DONE] = done
-        handlers[_TIMER] = timer
-        handlers[_STALL] = stall
-        return handlers
-
-    def _enqueue(self, runtime, tup, port: int) -> None:
-        now = self.kernel.now
-        queue = runtime.queue
-        if not runtime.busy and runtime.queue_head == len(queue):
-            if runtime.queue_peak < 1:
-                runtime.queue_peak = 1
-            runtime.served += 1
-            runtime.busy = True
-            work = runtime.static_work
-            if work is None:
-                work = runtime.logic.work_units(tup)
-            service = runtime.base_service * work
-            sigma = runtime.noise_sigma
-            if sigma > 0:
-                service *= self.noise_rngs[runtime.gid].lognormal(
-                    runtime.noise_mu, sigma
-                )
-            runtime.busy_time += service
-            self._push(
-                now + service, _DONE, runtime.gid, tup, port, runtime.gid
-            )
-            return
-        queue.append((tup, port, now))
-        depth = len(queue) - runtime.queue_head
-        if depth > runtime.queue_peak:
-            runtime.queue_peak = depth
-        if not runtime.busy:
-            self._begin_service_now(runtime)
-
-    def _begin_service_now(self, runtime) -> None:
-        queue = runtime.queue
-        head = runtime.queue_head
-        tup, port, enqueued_at = queue[head]
-        now = self.kernel.now
-        wait = now - enqueued_at
-        runtime.wait_time += wait
-        runtime.served += 1
-        head += 1
-        runtime.queue_head = head
-        if head > 256 and head * 2 >= len(queue):
-            del queue[:head]
-            runtime.queue_head = 0
-        runtime.busy = True
-        work = runtime.static_work
-        if work is None:
-            work = runtime.logic.work_units(tup)
-        service = runtime.base_service * work
-        sigma = runtime.noise_sigma
-        if sigma > 0:
-            service *= self.noise_rngs[runtime.gid].lognormal(
-                runtime.noise_mu, sigma
-            )
-        runtime.busy_time += service
-        self._push(now + service, _DONE, runtime.gid, tup, port, runtime.gid)
-
-    def _route(self, runtime, outputs) -> float:
-        """The serial engine's affine routing with an outbox fork.
-
-        Same group-ordered overhead accounting as ``StreamEngine._route``
-        (sharding requires the affine network, so only the precompiled
-        latency path exists here); deliveries whose consumer lives on
-        another shard go to the outbox instead of the local heap, and
-        the producer's sequence counter advances identically either way.
-        """
-        if not outputs:
-            return 0.0
-        table = runtime.route_table
-        if not table:
-            return 0.0
-        kernel = self.kernel
-        now = kernel.now
-        origin = runtime.gid
-        oseq = self.oseq
-        outbox = self.outbox
-        shard_of = self.shard_of_gid
-        shard_id = self.shard_id
-        offset = 0.0
-        for (
-            select,
-            fixed,
-            rekey,
-            consumers,
-            num_channels,
-            latencies,
-            bandwidths,
-            port,
-            shuffle_cost,
-        ) in table:
-            if fixed is not None:
-                if shuffle_cost:
-                    per_output = shuffle_cost * len(fixed)
-                    group_overhead = 0.0
-                    for _ in outputs:
-                        group_overhead += per_output
-                    offset += group_overhead
-                routed = None
-            elif shuffle_cost:
-                routed = []
-                group_overhead = 0.0
-                for tup in outputs:
-                    out = (
-                        tup.with_key(rekey(tup)) if rekey is not None else tup
-                    )
-                    indices = select(out, num_channels)
-                    group_overhead += shuffle_cost * len(indices)
-                    routed.append((out, indices))
-                offset += group_overhead
-            else:
-                routed = None
-            if fixed is not None:
-                for out in outputs:
-                    size = out.size_bytes
-                    for idx in fixed:
-                        delay = latencies[idx] + size / bandwidths[idx]
-                        at = now + delay + offset
-                        dst = consumers[idx]
-                        seq = oseq[origin]
-                        oseq[origin] = seq + 1
-                        if shard_of[dst] == shard_id:
-                            kernel.push_tb(
-                                at, (origin, seq), _DELIVER, dst, out, port
-                            )
-                        else:
-                            outbox.append((at, origin, seq, dst, port, out))
-                continue
-            if routed is None:
-                routed = []
-                for tup in outputs:
-                    out = (
-                        tup.with_key(rekey(tup)) if rekey is not None else tup
-                    )
-                    routed.append((out, select(out, num_channels)))
-            for out, indices in routed:
-                size = out.size_bytes
-                for idx in indices:
-                    delay = latencies[idx] + size / bandwidths[idx]
-                    at = now + delay + offset
-                    dst = consumers[idx]
-                    seq = oseq[origin]
-                    oseq[origin] = seq + 1
-                    if shard_of[dst] == shard_id:
-                        kernel.push_tb(
-                            at, (origin, seq), _DELIVER, dst, out, port
-                        )
-                    else:
-                        outbox.append((at, origin, seq, dst, port, out))
-        return offset
+            self.outbox.append((at, origin, seq, gid, port, tup))
 
     # ----------------------------------------------------- controller verbs
 
     def start(self):
         """Seed initial events for owned subtasks; report (0, work, next)."""
-        for gid in self.owned:
-            runtime = self.runtimes[gid]
-            if runtime.is_source:
-                self._schedule_next_arrival(runtime, 0.0)
-            interval = getattr(runtime.logic, "timer_interval", None)
-            if interval:
-                self._push(interval, _TIMER, gid, None, 0, gid)
-        for injection in self.engine.config.stalls:
-            if injection.at_time > self.max_sim_time:
-                continue
-            gids = self.engine.physical.op_subtasks.get(injection.op_id, ())
-            for gid in gids:
-                if gid in self.owned_set:
-                    self._push(
-                        injection.at_time,
-                        _STALL,
-                        gid,
-                        injection.duration,
-                        0,
-                        gid,
-                    )
+        self.view._seed_events(self.owned)
         kernel = self.kernel
         return (0, kernel.work, kernel.next_event_time())
 
@@ -464,7 +214,7 @@ class ShardExecutor:
                 outputs = runtime.logic.flush(boundary)
                 if outputs:
                     emitted = True
-                    self._route(runtime, outputs)
+                    self.view._route(runtime, outputs)
         return (
             emitted,
             kernel.events_processed,
@@ -509,7 +259,7 @@ class ShardExecutor:
             "runtimes": runtimes,
             "sinks": sinks,
             "ledger": ledger,
-            "last_source_time": self.last_source_time,
+            "last_source_time": self.view._last_source_time,
             "flush_time": self.flush_time,
         }
 
@@ -785,11 +535,6 @@ def run_sharded(engine):
             "sharded execution requires network base latency > 0; zero "
             "inter-node delay leaves no conservative time window"
         )
-    for injection in config.stalls:
-        if injection.op_id not in engine.physical.op_subtasks:
-            raise SimulationError(
-                f"stall targets unknown operator {injection.op_id!r}"
-            )
     node_of_gid = [runtime.node_id for runtime in engine._runtimes]
     shard_of_node = partition_nodes(node_of_gid, shards)
     shard_of_gid = shard_of_gids(node_of_gid, shard_of_node)
@@ -834,7 +579,7 @@ def run_sharded(engine):
         handles,
         lookahead=lookahead,
         max_events=config.max_events,
-        max_flush_rounds=len(engine.logical.operators) + 2,
+        max_flush_rounds=engine._max_flush_rounds,
     )
     try:
         final_now = controller.run()

@@ -31,7 +31,7 @@ from repro.ft import (
     validate_delivery,
 )
 from repro.sps import builders
-from repro.sps.engine import SimulationConfig, StreamEngine
+from repro.sps.engine import SimulationConfig, StallInjection, StreamEngine
 from repro.sps.operators.sink import SinkLogic
 from repro.sps.types import DataType, Field, Schema
 from tests.conftest import kv_generator
@@ -225,6 +225,36 @@ class TestRecovery:
         assert ft["duplicate_results"] > 0
         assert ft["duplicates_dropped"] == 0
         assert ft["lost_results"] == 0
+
+    def test_recovery_keeps_future_stall_injections(self):
+        """A stall scheduled after the failure still fires: recovery
+        purges in-flight data-plane work, not injected faults."""
+        config = SimulationConfig(
+            max_tuples_per_source=300,
+            max_sim_time=3.0,
+            warmup_fraction=0.0,
+            scenario=_EARLY,
+            checkpoint_interval=0.05,
+            stalls=(StallInjection(at_time=0.5, op_id="agg", duration=0.05),),
+        )
+        engine = StreamEngine(
+            ft_workload_plan(),
+            homogeneous_cluster(num_nodes=4),
+            config=config,
+            rng_factory=RngFactory(7),
+        )
+        handled = []
+        handle_stall = engine._handle_stall
+
+        def counting(gid, duration):
+            handled.append(gid)
+            handle_stall(gid, duration)
+
+        engine._handle_stall = counting
+        metrics = engine.run()
+        assert metrics.extras["ft"]["recoveries"] == 1
+        agg_gids = set(engine.physical.op_subtasks["agg"])
+        assert agg_gids <= set(handled)
 
 
 class TestFailureWithoutCheckpointing:
